@@ -61,11 +61,11 @@ func (ps *PathSystem) candidatesFor(d *demand.Demand) map[demand.Pair][]graph.Pa
 }
 
 // variableCount returns the number of candidate-path variables the
-// adaptation LP would have for demand d.
-func (ps *PathSystem) variableCount(d *demand.Demand) int {
+// adaptation LP has over the candidate map cand.
+func variableCount(cand map[demand.Pair][]graph.Path) int {
 	n := 0
-	for _, p := range d.Support() {
-		n += len(ps.Unique(p.U, p.V))
+	for _, paths := range cand {
+		n += len(paths)
 	}
 	return n
 }
@@ -91,7 +91,7 @@ func (ps *PathSystem) AdaptCtx(ctx context.Context, d *demand.Demand, opt *Adapt
 		return nil, fmt.Errorf("core: %w", mcf.ErrNoCandidates)
 	}
 	cand := ps.candidatesFor(d)
-	if o.ExactThreshold > 0 && ps.variableCount(d) <= o.ExactThreshold {
+	if o.ExactThreshold > 0 && variableCount(cand) <= o.ExactThreshold {
 		if o.OnSolver != nil {
 			o.OnSolver("exact")
 		}

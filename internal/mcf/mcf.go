@@ -132,57 +132,62 @@ func MinCongestionOnPaths(g *graph.Graph, cand map[demand.Pair][]graph.Path, d *
 func MinCongestionOnPathsCtx(ctx context.Context, g *graph.Graph, cand map[demand.Pair][]graph.Path, d *demand.Demand, opt *Options) (flow.Routing, error) {
 	o := opt.withDefaults()
 	support := d.Support()
-	for _, p := range support {
-		if len(cand[p]) == 0 {
-			return nil, fmt.Errorf("%w: %v", ErrNoCandidates, p)
-		}
+	ix, err := indexPaths(g, cand, support, d)
+	if err != nil {
+		return nil, err
 	}
 	if o.BaseLoads != nil && len(o.BaseLoads) != g.NumEdges() {
 		return nil, fmt.Errorf("mcf: %d base loads for %d edges", len(o.BaseLoads), g.NumEdges())
 	}
-	cum := make([]float64, g.NumEdges()) // cumulative relative load
-	chosen := make(map[demand.Pair][]float64, len(support))
-	// seeded[p] is the virtual rounds pair p was warm-seeded with (its final
-	// weight denominator is Iterations + seeded[p]); warmAny is the prior's
+	base := o.BaseLoads
+	cum := make([]float64, g.NumEdges())          // cumulative relative load
+	lens := make([]float64, g.NumEdges())         // cached edge lengths, ix.used only
+	chosen := make([]float64, ix.numCandidates()) // rounds per candidate
+	// seeded[i] is the virtual rounds pair i was warm-seeded with (its final
+	// weight denominator is Iterations + seeded[i]); warmAny is the prior's
 	// round count when at least one pair was seeded, the global round offset
 	// the averaged state represents.
-	seeded := make(map[demand.Pair]float64)
+	seeded := make([]float64, len(support))
 	warmAny := 0.0
-	for _, p := range support {
-		chosen[p] = make([]float64, len(cand[p]))
-		if o.Warm == nil {
-			continue
-		}
-		prior := o.Warm.Weights[p]
-		if len(prior) == 0 {
-			continue
-		}
-		var tot float64
-		w := make([]float64, len(cand[p]))
-		for j, path := range cand[p] {
-			if pw := prior[path.Key()]; pw > 0 {
-				w[j] = pw
-				tot += pw
-			}
-		}
-		if tot <= 0 {
-			continue // prior paths are no longer candidates: cold start
-		}
+	if o.Warm != nil {
 		rounds := o.warmRounds()
-		amt := d.Get(p.U, p.V)
-		for j, pw := range w {
-			if pw <= 0 {
+		for i, p := range support {
+			prior := o.Warm.Weights[p]
+			if len(prior) == 0 {
 				continue
 			}
-			cnt := rounds * pw / tot
-			chosen[p][j] += cnt
-			for _, id := range cand[p][j].EdgeIDs {
-				cum[id] += cnt * amt / g.Edge(id).Capacity
+			// chosen holds the raw prior weights until they are normalized.
+			first := ix.first[i]
+			w := chosen[first:ix.first[i+1]]
+			var tot float64
+			for j, path := range cand[p] {
+				if pw := prior[path.Key()]; pw > 0 {
+					w[j] = pw
+					tot += pw
+				}
 			}
+			if tot <= 0 {
+				continue // prior paths are no longer candidates: cold start
+			}
+			amt := ix.amt[i]
+			for j, pw := range w {
+				if pw <= 0 {
+					continue
+				}
+				cnt := rounds * pw / tot
+				w[j] = cnt
+				for _, id := range ix.edges(first + int32(j)) {
+					cum[id] += cnt * amt / ix.cap[id]
+				}
+			}
+			seeded[i] = rounds
+			warmAny = rounds
 		}
-		seeded[p] = rounds
-		warmAny = rounds
 	}
+	// Edges no candidate crosses keep cum at zero, so their share of a
+	// round's maximum is the background alone: (rounds+1)·idle, the largest
+	// of their scaled loads because rounding is monotone.
+	idle := ix.idleMax(base)
 	for iter := 0; iter < o.Iterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -192,55 +197,65 @@ func MinCongestionOnPathsCtx(ctx context.Context, g *graph.Graph, cand map[deman
 		// (slightly overweighted early, exact in the limit).
 		rounds := float64(iter) + warmAny
 		maxCum := 0.0
-		for id, c := range cum {
-			if o.BaseLoads != nil {
-				c += (rounds + 1) * o.BaseLoads[id]
+		if base != nil {
+			maxCum = (rounds + 1) * idle
+		}
+		for _, id := range ix.used {
+			c := cum[id]
+			if base != nil {
+				c += (rounds + 1) * base[id]
 			}
 			if c > maxCum {
 				maxCum = c
 			}
 		}
 		if o.Progress != nil && iter > 0 && iter%o.ProgressEvery == 0 && rounds > 0 {
-			o.Progress(iter, congestionEstimate(cum, o.BaseLoads, rounds))
+			o.Progress(iter, congestionEstimate(cum, base, rounds))
 		}
-		for _, p := range support {
-			// Lightest candidate under lengths exp(eta*(cum-max))/cap.
-			best, bestLen := 0, math.Inf(1)
-			for j, path := range cand[p] {
+		// Edge lengths exp(eta*(cum-max))/cap are fixed for the round except
+		// where a pair's routing moves cum, so each is computed once here and
+		// again only after the edge's load changes, and only when a later
+		// pair of the round still reads it. A candidate's length is the sum
+		// of its cached edge lengths in path order: the same float operations
+		// as evaluating every edge afresh.
+		for _, id := range ix.used {
+			lens[id] = edgeLength(cum, base, ix.cap, id, rounds, maxCum, o.Eta)
+		}
+		// Pairs route in sequence, each seeing the loads of those before it
+		// (Gauss–Seidel order); that order is part of the output.
+		for i, amt := range ix.amt {
+			first, end := ix.first[i], ix.first[i+1]
+			best, bestLen := first, math.Inf(1)
+			for k := first; k < end; k++ {
 				var l float64
-				for _, id := range path.EdgeIDs {
-					c := cum[id]
-					if o.BaseLoads != nil {
-						c += (rounds + 1) * o.BaseLoads[id]
-					}
-					l += math.Exp(o.Eta*(c-maxCum)) / g.Edge(id).Capacity
+				for _, id := range ix.edges(k) {
+					l += lens[id]
 				}
 				if l < bestLen {
-					best, bestLen = j, l
+					best, bestLen = k, l
 				}
 			}
-			chosen[p][best]++
-			amt := d.Get(p.U, p.V)
-			for _, id := range cand[p][best].EdgeIDs {
-				cum[id] += amt / g.Edge(id).Capacity
+			chosen[best]++
+			for _, id := range ix.edges(best) {
+				cum[id] += amt / ix.cap[id]
+				if ix.last[id] > int32(i) {
+					lens[id] = edgeLength(cum, base, ix.cap, id, rounds, maxCum, o.Eta)
+				}
 			}
 		}
 	}
 	reportFinal(cum, &o, warmAny)
-	out := flow.New()
-	for _, p := range support {
-		amt := d.Get(p.U, p.V)
-		total := float64(o.Iterations) + seeded[p]
-		for j, cnt := range chosen[p] {
-			if cnt > 0 {
-				out[p] = append(out[p], flow.WeightedPath{
-					Path:   cand[p][j],
-					Weight: amt * cnt / total,
-				})
-			}
-		}
+	return ix.routing(cand, support, chosen, seeded, o.Iterations), nil
+}
+
+// edgeLength is edge id's MWU length in a round: exp(eta*(c-maxCum))/cap,
+// where c is its cumulative load plus the background scaled by rounds+1.
+func edgeLength(cum, base, capacity []float64, id int32, rounds, maxCum, eta float64) float64 {
+	c := cum[id]
+	if base != nil {
+		c += (rounds + 1) * base[id]
 	}
-	return out, nil
+	return math.Exp(eta*(c-maxCum)) / capacity[id]
 }
 
 // congestionEstimate is the max relative load of averaging the state in cum
