@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -202,5 +204,90 @@ func TestAdaptDeltaSolverTag(t *testing.T) {
 	}
 	if len(tags) != 1 || tags[0] != "delta-mwu" {
 		t.Fatalf("solver tags %v, want [delta-mwu]", tags)
+	}
+}
+
+// TestAdaptDeltaIgnoresTouchedOrder: the background subtracts the touched
+// pairs' old flow, and on an edge both pairs cross the rounding depends on
+// the order of the subtractions. The delta step must give bitwise-equal
+// loads, congestion and routing whichever order the caller lists them in.
+func TestAdaptDeltaIgnoresTouchedOrder(t *testing.T) {
+	g := gen.Grid(8, 8)
+	router, err := oblivious.Build("raecke", g, &oblivious.BuildOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := RSample(router, AllPairs(g.NumVertices()), 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := demand.Gravity(g, float64(g.NumEdges()), 256, rand.New(rand.NewPCG(3, 4)))
+	ctx := context.Background()
+	prev, err := ps.AdaptCtx(ctx, d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := prev.EdgeLoads(g)
+	subtract := func(pairs ...demand.Pair) []float64 {
+		bg := slices.Clone(loads)
+		for _, p := range pairs {
+			for _, wp := range prev[p] {
+				for _, id := range wp.Path.EdgeIDs {
+					bg[id] -= wp.Weight
+				}
+			}
+		}
+		for id := range bg {
+			bg[id] = max(bg[id], 0)
+		}
+		return bg
+	}
+	// Pairs whose old flow rounds differently by subtraction order, so the
+	// test fails if the delta step subtracts in the caller's order.
+	support := d.Support()
+	var sensitive [][2]demand.Pair
+	for i := 0; i < len(support) && len(sensitive) < 32; i++ {
+		for j := i + 1; j < len(support) && len(sensitive) < 32; j++ {
+			a, b := support[i], support[j]
+			if !slices.Equal(subtract(a, b), subtract(b, a)) {
+				sensitive = append(sensitive, [2]demand.Pair{a, b})
+			}
+		}
+	}
+	if len(sensitive) == 0 {
+		t.Fatal("no two pairs whose subtraction order changes the background")
+	}
+	for _, pq := range sensitive {
+		a, b := pq[0], pq[1]
+		next := d.Clone()
+		next.Set(a.U, a.V, d.Get(a.U, a.V)*1.1)
+		next.Set(b.U, b.V, d.Get(b.U, b.V)*0.9)
+		ab, err := ps.AdaptDeltaCtx(ctx, prev, loads, next, []demand.Pair{a, b}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ba, err := ps.AdaptDeltaCtx(ctx, prev, loads, next, []demand.Pair{b, a}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := range ab.EdgeLoads {
+			if math.Float64bits(ab.EdgeLoads[id]) != math.Float64bits(ba.EdgeLoads[id]) {
+				t.Fatalf("edge %d: load %v with touched (%v, %v), %v reversed", id, ab.EdgeLoads[id], a, b, ba.EdgeLoads[id])
+			}
+		}
+		if math.Float64bits(ab.Congestion) != math.Float64bits(ba.Congestion) {
+			t.Fatalf("congestion %v with touched (%v, %v), %v reversed", ab.Congestion, a, b, ba.Congestion)
+		}
+		for _, p := range []demand.Pair{a, b} {
+			x, y := ab.Routing[p], ba.Routing[p]
+			if len(x) != len(y) {
+				t.Fatalf("pair %v: %d paths, %d reversed", p, len(x), len(y))
+			}
+			for k := range x {
+				if x[k].Path.Key() != y[k].Path.Key() || math.Float64bits(x[k].Weight) != math.Float64bits(y[k].Weight) {
+					t.Fatalf("pair %v path %d differs by touched order", p, k)
+				}
+			}
+		}
 	}
 }
