@@ -39,8 +39,8 @@
 //
 // Reads are lock-free while epochs solve; a solve that fails or misses
 // --deadline leaves the last good routing serving (a fallback counter
-// increments). A missed deadline cancels the solve itself — the LP/MWU
-// solvers poll a context — so the worker is freed immediately instead of
+// increments). A missed deadline cancels the solve itself — the MWU solver
+// polls a context every round — so the worker is freed immediately instead of
 // burning CPU on a result nobody will use (/debug/vars counts
 // solves_canceled and estimates solve_cpu_saved). SIGINT/SIGTERM cancels
 // in-flight solves for a prompt drain, writes a final snapshot when

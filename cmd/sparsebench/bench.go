@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"sparseroute/internal/core"
 	"sparseroute/internal/demand"
 	"sparseroute/internal/graph"
 	"sparseroute/internal/graph/gen"
@@ -66,8 +65,8 @@ type benchTopology struct {
 
 	// Warm-start pipeline: a train of PATCH deltas against one engine
 	// (WarmSolve) versus cold full re-solves of the identical matrices on a
-	// warm-disabled twin (ColdResolve). Both force the MWU solver so the
-	// ratio isolates solver work rather than LP-vs-MWU dispatch.
+	// warm-disabled twin (ColdResolve). Both run the engine's MWU solver, so
+	// the ratio isolates what the warm pipeline saves.
 	WarmSolve   benchWindow `json:"warm_solve"`
 	ColdResolve benchWindow `json:"cold_resolve"`
 	// WarmColdRatio is WarmSolve.Mean / ColdResolve.Mean.
@@ -245,9 +244,8 @@ func benchOneTopology(bc benchCase, report *benchReport) (*benchTopology, error)
 // benchWarmVsCold measures the incremental epoch pipeline: one engine takes
 // a base matrix and then a train of PATCH deltas (each touching a handful of
 // pairs), while a warm-disabled twin cold re-solves the identical full
-// matrices. Both engines force the MWU solver (ExactThreshold -1) — on these
-// topology sizes the exact LP would absorb every solve and the warm seam
-// would never engage — so the warm/cold ratio isolates solver work.
+// matrices. Both engines solve every epoch with MWU, so the warm/cold ratio
+// isolates solver work.
 func benchWarmVsCold(bc benchCase, report *benchReport, row *benchTopology) error {
 	router, err := oblivious.Build(report.Router, bc.g, &oblivious.BuildOptions{Seed: report.Seed})
 	if err != nil {
@@ -261,7 +259,6 @@ func benchWarmVsCold(bc benchCase, report *benchReport, row *benchTopology) erro
 		Seed:       report.Seed,
 		Workers:    1,
 		QueueDepth: report.Epochs + 2,
-		Adapt:      &core.AdaptOptions{ExactThreshold: -1},
 	}
 	warmE, err := service.New(base)
 	if err != nil {

@@ -12,13 +12,13 @@ import (
 	"sparseroute/internal/rounding"
 )
 
+// exactVariables is the largest adaptation AdaptCtx hands to the exact
+// simplex LP, counted in candidate-path variables over the demand's support.
+// Above it the dense tableau is too slow and AdaptCtx uses MWU directly.
+const exactVariables = 600
+
 // AdaptOptions tunes the rate-adaptation step.
 type AdaptOptions struct {
-	// ExactThreshold: use the exact simplex LP when the total number of
-	// candidate variables (paths over the demand's support) is at most this
-	// bound; otherwise use the MWU solver. Default 600. Negative disables
-	// the exact solver entirely.
-	ExactThreshold int
 	// MWU forwards options to the approximate solver.
 	MWU mcf.Options
 	// RoundingTrials is the number of randomized roundings AdaptIntegral
@@ -29,17 +29,15 @@ type AdaptOptions struct {
 	// OnSolver, when non-nil, is called with "exact" or "mwu" just before the
 	// corresponding solver runs — an observability seam; both may fire in one
 	// Adapt when the exact LP hits numerical trouble and falls through to MWU.
+	// AdaptDeltaCtx reports "delta-mwu".
 	OnSolver func(solver string)
 }
 
 func (o *AdaptOptions) withDefaults() AdaptOptions {
-	out := AdaptOptions{ExactThreshold: 600, RoundingTrials: 8, LocalSearchPasses: 20}
+	out := AdaptOptions{RoundingTrials: 8, LocalSearchPasses: 20}
 	if o != nil {
 		out.MWU = o.MWU
 		out.OnSolver = o.OnSolver
-		if o.ExactThreshold != 0 {
-			out.ExactThreshold = o.ExactThreshold
-		}
 		if o.RoundingTrials > 0 {
 			out.RoundingTrials = o.RoundingTrials
 		}
@@ -72,8 +70,10 @@ func variableCount(cand map[demand.Pair][]graph.Path) int {
 
 // Adapt performs Stage 4 of the protocol: given the revealed demand d, it
 // computes a (near-)minimum-congestion fractional routing of d supported on
-// the system's candidate paths. Small instances are solved exactly with the
-// simplex LP; larger ones with the MWU solver.
+// the system's candidate paths. Instances of at most 600 candidate variables
+// are solved exactly with the simplex LP — the offline reference the
+// experiments and property tests compare against; larger ones, and small
+// ones whose LP runs into numerical trouble, with the MWU solver.
 func (ps *PathSystem) Adapt(d *demand.Demand, opt *AdaptOptions) (flow.Routing, error) {
 	return ps.AdaptCtx(context.Background(), d, opt)
 }
@@ -90,8 +90,7 @@ func (ps *PathSystem) AdaptCtx(ctx context.Context, d *demand.Demand, opt *Adapt
 	if !ps.Covers(d) {
 		return nil, fmt.Errorf("core: %w", mcf.ErrNoCandidates)
 	}
-	cand := ps.candidatesFor(d)
-	if o.ExactThreshold > 0 && variableCount(cand) <= o.ExactThreshold {
+	if cand := ps.candidatesFor(d); variableCount(cand) <= exactVariables {
 		if o.OnSolver != nil {
 			o.OnSolver("exact")
 		}
@@ -106,7 +105,19 @@ func (ps *PathSystem) AdaptCtx(ctx context.Context, d *demand.Demand, opt *Adapt
 	if o.OnSolver != nil {
 		o.OnSolver("mwu")
 	}
-	return mcf.MinCongestionOnPathsCtx(ctx, ps.g, cand, d, &o.MWU)
+	return ps.AdaptMWUCtx(ctx, d, &o.MWU)
+}
+
+// AdaptMWUCtx is the MWU branch of AdaptCtx on its own: the path-restricted
+// MWU solver over d's candidates, with no exact LP in front of it. It is the
+// serving solver — its time is bounded by the round budget in opt, where the
+// simplex can pivot for seconds on a degenerate instance — and polls ctx
+// every round.
+func (ps *PathSystem) AdaptMWUCtx(ctx context.Context, d *demand.Demand, opt *mcf.Options) (flow.Routing, error) {
+	if !ps.Covers(d) {
+		return nil, fmt.Errorf("core: %w", mcf.ErrNoCandidates)
+	}
+	return mcf.MinCongestionOnPathsCtx(ctx, ps.g, ps.candidatesFor(d), d, opt)
 }
 
 // AdaptCongestion is Adapt returning only the achieved maximum congestion —

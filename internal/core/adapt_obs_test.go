@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sparseroute/internal/demand"
 	"sparseroute/internal/graph/gen"
+	"sparseroute/internal/mcf"
 )
 
 // ringSystem builds a tiny path system on a ring with both arcs between 0
@@ -38,13 +40,28 @@ func TestAdaptOnSolverExact(t *testing.T) {
 	}
 }
 
+// TestAdaptOnSolverForcedMWU: above the exact solver's 600-variable limit
+// AdaptCtx goes straight to MWU. Every pair of a 36-clique routes on its
+// direct edge, so the demand over all 630 pairs has 630 variables.
 func TestAdaptOnSolverForcedMWU(t *testing.T) {
-	ps := ringSystem(t)
-	d := demand.SinglePair(0, 2, 1)
+	g := gen.Complete(36)
+	ps := NewPathSystem(g)
+	d := demand.New()
+	for u := 0; u < g.NumVertices(); u++ {
+		for v := u + 1; v < g.NumVertices(); v++ {
+			p, err := g.ShortestPathHops(u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ps.AddPath(p); err != nil {
+				t.Fatal(err)
+			}
+			d.Set(u, v, 1)
+		}
+	}
 	var solvers []string
 	_, err := ps.Adapt(d, &AdaptOptions{
-		ExactThreshold: -1, // the retry chain's forced-MWU stage
-		OnSolver:       func(s string) { solvers = append(solvers, s) },
+		OnSolver: func(s string) { solvers = append(solvers, s) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,11 +75,9 @@ func TestAdaptMWUProgressThreadsThrough(t *testing.T) {
 	ps := ringSystem(t)
 	d := demand.SinglePair(0, 2, 1)
 	rounds := 0
-	opt := &AdaptOptions{ExactThreshold: -1}
-	opt.MWU.Iterations = 32
-	opt.MWU.ProgressEvery = 8
-	opt.MWU.Progress = func(round int, _ float64) { rounds = round }
-	if _, err := ps.Adapt(d, opt); err != nil {
+	opt := &mcf.Options{Iterations: 32, ProgressEvery: 8}
+	opt.Progress = func(round int, _ float64) { rounds = round }
+	if _, err := ps.AdaptMWUCtx(context.Background(), d, opt); err != nil {
 		t.Fatal(err)
 	}
 	if rounds != 32 {

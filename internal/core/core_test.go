@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sparseroute/internal/demand"
+	"sparseroute/internal/flow"
 	"sparseroute/internal/graph"
 	"sparseroute/internal/graph/gen"
 	"sparseroute/internal/mcf"
@@ -671,16 +672,16 @@ func TestAdaptCtxCancellation(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct {
-		name string
-		opt  *AdaptOptions
+		name  string
+		adapt func(context.Context) (flow.Routing, error)
 	}{
-		{"exact", &AdaptOptions{ExactThreshold: 600}},
-		{"mwu", &AdaptOptions{ExactThreshold: -1}},
+		{"exact", func(ctx context.Context) (flow.Routing, error) { return ps.AdaptCtx(ctx, d, nil) }},
+		{"mwu", func(ctx context.Context) (flow.Routing, error) { return ps.AdaptMWUCtx(ctx, d, nil) }},
 	} {
-		if _, err := ps.AdaptCtx(canceled, d, tc.opt); !errors.Is(err, context.Canceled) {
+		if _, err := tc.adapt(canceled); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s pre-canceled: err=%v, want context.Canceled", tc.name, err)
 		}
-		r, err := ps.AdaptCtx(context.Background(), d, tc.opt)
+		r, err := tc.adapt(context.Background())
 		if err != nil {
 			t.Errorf("%s live ctx: %v", tc.name, err)
 		} else if err := r.ValidateRoutes(g, d, 1e-7); err != nil {
@@ -688,13 +689,13 @@ func TestAdaptCtxCancellation(t *testing.T) {
 		}
 	}
 
-	// Mid-solve: force the MWU path with an iteration budget that would run
-	// for minutes; the deadline must stop it promptly.
-	slow := &AdaptOptions{ExactThreshold: -1, MWU: mcf.Options{Iterations: 1 << 30}}
+	// Mid-solve: an MWU iteration budget that would run for minutes; the
+	// deadline must stop it promptly.
+	slow := &mcf.Options{Iterations: 1 << 30}
 	ctx, cancelT := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancelT()
 	start := time.Now()
-	if _, err := ps.AdaptCtx(ctx, d, slow); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := ps.AdaptMWUCtx(ctx, d, slow); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("mid-solve: err=%v, want context.DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {

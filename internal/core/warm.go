@@ -8,7 +8,6 @@ import (
 
 	"sparseroute/internal/demand"
 	"sparseroute/internal/flow"
-	"sparseroute/internal/mcf"
 )
 
 // CandidateWeights projects a routing into the per-pair path-key weight
@@ -123,9 +122,6 @@ func (ps *PathSystem) AdaptDeltaCtx(ctx context.Context, prev flow.Routing, prev
 	dT := d.Restrict(func(p demand.Pair) bool { return touchedSet[p] })
 	fresh := flow.New()
 	if dT.SupportSize() > 0 {
-		if !ps.Covers(dT) {
-			return nil, fmt.Errorf("core: delta adapt: %w", mcf.ErrNoCandidates)
-		}
 		mwu := o.MWU
 		base := make([]float64, len(bg))
 		for id := range bg {
@@ -136,7 +132,7 @@ func (ps *PathSystem) AdaptDeltaCtx(ctx context.Context, prev flow.Routing, prev
 			o.OnSolver("delta-mwu")
 		}
 		var err error
-		fresh, err = mcf.MinCongestionOnPathsCtx(ctx, g, ps.candidatesFor(dT), dT, &mwu)
+		fresh, err = ps.AdaptMWUCtx(ctx, dT, &mwu)
 		if err != nil {
 			return nil, err
 		}

@@ -120,11 +120,11 @@ func TestTracerSlowLog(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Fatalf("fast epoch logged: %s", buf.String())
 	}
-	if !tr.Record(&EpochTrace{Epoch: 2, TotalMs: 80, Outcome: OutcomeSolved, Solver: "mwu"}) {
+	if !tr.Record(&EpochTrace{Epoch: 2, TotalMs: 80, Outcome: OutcomeSolved, MWURounds: 256}) {
 		t.Fatal("slow epoch not flagged")
 	}
 	out := buf.String()
-	for _, want := range []string{"slow epoch", `"epoch":2`, `"total_ms":80`, `"solver":"mwu"`} {
+	for _, want := range []string{"slow epoch", `"epoch":2`, `"total_ms":80`, `"mwu_rounds":256`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("slow log missing %q: %s", want, out)
 		}

@@ -7,10 +7,11 @@ import (
 	"time"
 )
 
-// Attempt is one stage of an epoch's solve chain: the configured adaptation,
-// the forced-MWU retry, or the renormalize-over-survivors last resort.
+// Attempt is one stage of an epoch's solve chain: the incremental delta
+// solve, the full MWU adaptation, or the renormalize-over-survivors last
+// resort.
 type Attempt struct {
-	// Stage is "adapt", "forced-mwu", or "renormalize".
+	// Stage is "delta", "adapt", or "renormalize".
 	Stage string `json:"stage"`
 	// Ms is the stage's wall time in milliseconds.
 	Ms float64 `json:"ms"`
@@ -30,9 +31,6 @@ type EpochTrace struct {
 	// QueueWaitMs is the time the epoch spent queued between submission and
 	// its worker picking it up (the fair-pool wait under contention).
 	QueueWaitMs float64 `json:"queue_wait_ms"`
-	// Solver is the last solver the adaptation step ran: "exact" (simplex
-	// LP) or "mwu". Empty when no solver ran (coverage error, test seam).
-	Solver string `json:"solver,omitempty"`
 	// Attempts is the solve chain, one entry per stage actually run.
 	Attempts []Attempt `json:"attempts,omitempty"`
 	// MWURounds is the last MWU round the progress callback reported, 0 when
@@ -42,8 +40,7 @@ type EpochTrace struct {
 	// between the last two progress samples — a small value means extra
 	// rounds were no longer buying congestion.
 	ConvergenceGap float64 `json:"convergence_gap,omitempty"`
-	// SolveMs is the whole solve chain's wall time (all attempts, backoffs
-	// included).
+	// SolveMs is the whole solve chain's wall time (all attempts).
 	SolveMs float64 `json:"solve_ms"`
 	// PublishMs covers congestion measurement plus installing the new state
 	// for lock-free readers (or the interim renormalized publish after a
@@ -57,7 +54,7 @@ type EpochTrace struct {
 	Outcome string `json:"outcome"`
 	// Congestion is the published routing's max congestion when solved.
 	Congestion float64 `json:"congestion,omitempty"`
-	// Retries counts solve attempts beyond the first.
+	// Retries counts renormalize stages run after a failed solve.
 	Retries int `json:"retries,omitempty"`
 	// DroppedPairs counts demand pairs excluded for lack of surviving
 	// candidates.
@@ -150,7 +147,6 @@ func (t *Tracer) Record(tr *EpochTrace) bool {
 			slog.Int("mwu_rounds", tr.MWURounds),
 			slog.Int("attempts", len(tr.Attempts)),
 			slog.Int("retries", tr.Retries),
-			slog.String("solver", tr.Solver),
 		)
 	}
 	return slow

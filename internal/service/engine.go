@@ -57,10 +57,11 @@ type State struct {
 	// it.
 	Streak int
 	// Renormalized marks a state published by the no-solver renormalization
-	// path — the interim serve right after a link event, or the last retry
-	// stage. Such a routing is an emergency redistribution, not an optimum;
-	// the next epoch must not seed from it (warm anchoring would freeze the
-	// emergency placements), so it always solves cold.
+	// path — the interim serve right after a link event, or the renormalize
+	// stage of the solve chain. Such a routing is an emergency
+	// redistribution, not an optimum; the next epoch must not seed from it
+	// (warm anchoring would freeze the emergency placements), so it always
+	// solves cold.
 	Renormalized bool
 	// SolvedAt is when the solve finished.
 	SolvedAt time.Time
@@ -75,21 +76,21 @@ type Outcome struct {
 	Err        string
 	Congestion float64
 	Latency    time.Duration
-	// Retries counts solve attempts beyond the first (the retry-with-backoff
-	// chain: configured adapt -> forced MWU -> renormalize over survivors).
+	// Retries counts the renormalize stages run after a failed solve (the
+	// chain: adapt -> renormalize over survivors -> last-known-good), so it is
+	// 0 or 1.
 	Retries int
 	// Renormalized marks an epoch served by renormalizing the previous
 	// routing over surviving paths instead of a fresh solve — either the
-	// interim publish after a link event or the last retry stage.
+	// interim publish after a link event or the renormalize stage.
 	Renormalized bool
 	// DroppedPairs counts demand pairs excluded from this epoch because the
 	// current link state leaves them with no candidate paths.
 	DroppedPairs int
 	// Warm tags the seeding of the attempt that produced the epoch's routing:
 	// "delta" (incremental touched-pair solve), "warm" (full solve seeded
-	// from the previous routing), "cold" (from scratch — including a
-	// forced-MWU retry after a failed warm attempt), or empty for
-	// renormalized epochs (interim link-event publishes and the last retry
+	// from the previous routing), "cold" (from scratch), or empty for
+	// renormalized epochs (interim link-event publishes and the renormalize
 	// stage). A fallback epoch keeps the tag of its first attempt.
 	Warm string
 	// TouchedPairs counts the pairs a delta epoch re-solved (0 otherwise).
@@ -135,13 +136,13 @@ const (
 	HealthClosed   = "closed"
 )
 
-// adaptFunc is the solver invocation seam: production engines call
-// PathSystem.AdaptCtx; tests substitute deterministically failing stages to
-// exercise the retry chain.
-type adaptFunc func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *core.AdaptOptions) (flow.Routing, error)
+// adaptFunc is the full-solve invocation seam: production engines call
+// PathSystem.AdaptMWUCtx; tests substitute deterministically failing or
+// gated solves to exercise the solve chain.
+type adaptFunc func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *mcf.Options) (flow.Routing, error)
 
-func defaultAdapt(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *core.AdaptOptions) (flow.Routing, error) {
-	return ps.AdaptCtx(ctx, d, opt)
+func defaultAdapt(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *mcf.Options) (flow.Routing, error) {
+	return ps.AdaptMWUCtx(ctx, d, opt)
 }
 
 // Engine is the online routing engine. Construct with New, serve with
@@ -541,13 +542,12 @@ func (e *Engine) Wait(ctx context.Context, epoch uint64) (*Outcome, error) {
 
 // solve runs one epoch inline on its pool worker: adapt under a deadline
 // context derived from the engine root, publish on success, fall back to the
-// last good routing otherwise. The adaptation itself is a bounded
-// retry-with-backoff chain (see adaptWithRetry); a missed deadline (or
-// Close) cancels the context the solvers poll, so the worker is freed
-// promptly with no further retries. queueWait is the time the epoch spent
-// queued behind other work before this worker picked it up; the whole
-// lifecycle — queue wait, per-attempt solve chain, MWU progress, publish —
-// is recorded as one obs.EpochTrace.
+// last good routing otherwise. The adaptation itself is a short solve chain
+// (see adaptChain); a missed deadline (or Close) cancels the context the
+// solver polls, so the worker is freed promptly with no further stages.
+// queueWait is the time the epoch spent queued behind other work before this
+// worker picked it up; the whole lifecycle — queue wait, per-attempt solve
+// chain, MWU progress, publish — is recorded as one obs.EpochTrace.
 func (e *Engine) solve(epoch uint64, req epochRequest, queueWait time.Duration) {
 	start := time.Now()
 	// Abandonment check at pickup: a client that disconnected or blew its
@@ -571,7 +571,7 @@ func (e *Engine) solve(epoch uint64, req epochRequest, queueWait time.Duration) 
 	tr := &obs.EpochTrace{Epoch: epoch, Start: start, QueueWaitMs: ms(queueWait)}
 	mon := &solveMonitor{epoch: epoch, tracer: e.tracer}
 	defer e.tracer.ClearProgress(epoch)
-	// Worker-level panic backstop: the per-stage barriers in the retry chain
+	// Worker-level panic backstop: the per-stage barriers in the solve chain
 	// convert solver panics to errors, but a panic in the accounting around
 	// them must not unwind the pool worker either — in a fleet that would
 	// take down every tenant. The epoch falls back (its waiters are woken
@@ -635,26 +635,10 @@ func (e *Engine) solve(epoch uint64, req epochRequest, queueWait time.Duration) 
 		// background of every untouched pair's flow — O(k·paths) instead of
 		// O(pairs·paths). Any mismatch (the previous routing no longer
 		// matches the untouched demand) falls through to a full solve.
-		t0 := time.Now()
-		opts := instrumented(e.cfg.Adapt, mon)
-		opts.MWU.Iterations = e.cfg.WarmIterations
-		res, derr := func() (res *core.DeltaResult, derr error) {
-			defer func() {
-				if p := recover(); p != nil {
-					e.metrics.solvePanics.Add(1)
-					e.record(obs.EventSolveFailure, map[string]any{
-						"epoch": epoch, "stage": "delta", "panic": fmt.Sprint(p),
-					})
-					res, derr = nil, fmt.Errorf("service: solver panic in delta: %v", p)
-				}
-			}()
+		opts := &core.AdaptOptions{MWU: mcf.Options{Progress: mon.onProgress, Iterations: e.cfg.WarmIterations}}
+		res, derr := attempt(e, tr, "delta", func() (*core.DeltaResult, error) {
 			return ls.adaptive.AdaptDeltaCtx(ctx, prev.Routing, prev.EdgeLoads, served, req.touched, opts)
-		}()
-		a := obs.Attempt{Stage: "delta", Ms: msSince(t0), OK: derr == nil}
-		if derr != nil {
-			a.Err = derr.Error()
-		}
-		tr.Attempts = append(tr.Attempts, a)
+		})
 		switch {
 		case derr == nil:
 			r, loads, cong = res.Routing, res.EdgeLoads, res.Congestion
@@ -668,15 +652,15 @@ func (e *Engine) solve(epoch uint64, req epochRequest, queueWait time.Duration) 
 		}
 	}
 	if !solved && err == nil {
-		opts := instrumented(e.cfg.Adapt, mon)
+		opts := &mcf.Options{Progress: mon.onProgress}
 		out.Warm = obs.WarmCold
 		if warmable {
-			opts.MWU.Warm = &mcf.WarmStart{Weights: warmSeed(prev, served)}
-			opts.MWU.Iterations = e.cfg.WarmIterations
+			opts.Warm = &mcf.WarmStart{Weights: warmSeed(prev, served)}
+			opts.Iterations = e.cfg.WarmIterations
 			out.Warm = obs.WarmWarm
 			e.metrics.warmSolves.Add(1)
 		}
-		r, err = e.adaptWithRetry(ctx, ls, served, out, tr, mon, opts)
+		r, err = e.adaptChain(ctx, ls, served, out, tr, opts)
 		if err == nil {
 			eff := ls.effectiveGraph(e.cfg.Graph)
 			loads = r.EdgeLoads(eff)
@@ -756,146 +740,69 @@ func (e *Engine) solve(epoch uint64, req epochRequest, queueWait time.Duration) 
 	finished = true
 }
 
-// adaptWithRetry is the bounded retry chain around one epoch's adaptation:
+// adaptChain is the solve chain around one full epoch adaptation:
 //
-//  1. the configured adapt pipeline (exact LP preferred, MWU fallback);
-//  2. a forced-MWU solve with default solver options, after a backoff —
-//     different code path, different numerics;
-//  3. the previous routing renormalized over surviving candidates — no
-//     solver at all, always well-defined while coverage holds.
+//  1. adapt: the MWU solver over the serving candidates, warm-seeded when
+//     opts carries a prior;
+//  2. renormalize: the previous routing renormalized over surviving
+//     candidates — no solver at all, always well-defined while coverage
+//     holds.
 //
-// A context cancellation (deadline or Close) stops the chain immediately:
-// retrying a canceled solve would only burn the worker. If every stage
-// fails the caller falls back to last-known-good (the published routing
-// stays serving). Retries beyond the first attempt are counted in
-// out.Retries and the solve_retries metric. Each stage actually run is
-// appended to tr.Attempts with its wall time and outcome; mon threads the
-// solver-identity and MWU-progress callbacks into the solvers.
-//
-// opts is the (already instrumented) option set for the first attempt —
-// possibly carrying a warm-start prior. The forced-MWU retry deliberately
-// runs cold with default options: if the first attempt failed, its seeding
-// is a suspect too.
-func (e *Engine) adaptWithRetry(ctx context.Context, ls *linkState, d *demand.Demand, out *Outcome, tr *obs.EpochTrace, mon *solveMonitor, opts *core.AdaptOptions) (flow.Routing, error) {
-	attempt := func(stage string, f func() (flow.Routing, error)) (flow.Routing, error) {
-		t0 := time.Now()
-		r, err := e.recovered(stage, tr.Epoch, f)
+// A context cancellation (deadline or Close) stops the chain before stage 2.
+// There is no second solver stage: MWU fails only on cancellation, missing
+// coverage, or a panicking progress hook, and a re-run would fail the same
+// way. If both stages fail the caller falls back to last-known-good (the
+// published routing stays serving). A renormalize run is counted in
+// out.Retries and the solve_retries metric; each stage run is appended to
+// tr.Attempts with its wall time and outcome.
+func (e *Engine) adaptChain(ctx context.Context, ls *linkState, d *demand.Demand, out *Outcome, tr *obs.EpochTrace, opts *mcf.Options) (flow.Routing, error) {
+	// ls.adaptive is the serving system rebound over the capacity-scaled
+	// topology view when fractional overrides exist: same candidates, reduced
+	// congestion denominators, so a degraded link is routed around softly.
+	r, err := attempt(e, tr, "adapt", func() (flow.Routing, error) {
+		return e.adapt(ctx, ls.adaptive, d, opts)
+	})
+	if err == nil || ctx.Err() != nil {
+		return r, err
+	}
+	st := e.active.Load()
+	if st == nil {
+		return nil, err
+	}
+	// No solver, no seeding, so the outcome drops its warm tag.
+	out.Retries++
+	e.metrics.solveRetries.Add(1)
+	out.Renormalized = true
+	out.Warm = ""
+	return attempt(e, tr, "renormalize", func() (flow.Routing, error) {
+		return renormalizeOverSurvivors(ls, st.Routing, d), nil
+	})
+}
+
+// attempt runs one solve stage behind a panic barrier and records it in tr.
+// A panicking solver callback (a buggy mcf.Options.Progress hook, a
+// pathological numeric state) becomes a stage error that falls through the
+// solve chain instead of unwinding the pool worker and killing the whole
+// (possibly multi-tenant) process. The panic is counted in solve_panics and
+// journaled as a solve_failure event with its stage, so the operator sees it
+// even when a later stage rescues the epoch.
+func attempt[T any](e *Engine, tr *obs.EpochTrace, stage string, f func() (T, error)) (res T, err error) {
+	t0 := time.Now()
+	defer func() {
+		if p := recover(); p != nil {
+			e.metrics.solvePanics.Add(1)
+			e.record(obs.EventSolveFailure, map[string]any{
+				"epoch": tr.Epoch, "stage": stage, "panic": fmt.Sprint(p),
+			})
+			err = fmt.Errorf("service: solver panic in %s: %v", stage, p)
+		}
 		a := obs.Attempt{Stage: stage, Ms: msSince(t0), OK: err == nil}
 		if err != nil {
 			a.Err = err.Error()
 		}
 		tr.Attempts = append(tr.Attempts, a)
-		return r, err
-	}
-
-	// ls.adaptive is the serving system rebound over the capacity-scaled
-	// topology view when fractional overrides exist: same candidates, reduced
-	// congestion denominators, so a degraded link is routed around softly.
-	r, err := attempt("adapt", func() (flow.Routing, error) {
-		return e.adapt(ctx, ls.adaptive, d, opts)
-	})
-	if err == nil || ctx.Err() != nil || e.cfg.SolveRetries < 0 {
-		return r, err
-	}
-	firstErr := err
-
-	retry := func(stage int) bool {
-		if out.Retries >= e.cfg.SolveRetries || !e.backoff(ctx, stage) {
-			return false
-		}
-		out.Retries++
-		e.metrics.solveRetries.Add(1)
-		return true
-	}
-
-	// Stage 2: force the MWU solver with default options. The retry runs
-	// deliberately cold (a failed first attempt makes its seeding a suspect
-	// too), so a success here re-tags the outcome.
-	if retry(0) {
-		mwu := instrumented(&core.AdaptOptions{ExactThreshold: -1}, mon)
-		r, err = attempt("forced-mwu", func() (flow.Routing, error) {
-			return e.adapt(ctx, ls.adaptive, d, mwu)
-		})
-		if err == nil {
-			out.Warm = obs.WarmCold
-		}
-		if err == nil || ctx.Err() != nil {
-			return r, err
-		}
-	}
-	if ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-
-	// Stage 3: renormalize the previous routing over surviving paths — no
-	// solver, no seeding, so the outcome drops its warm tag.
-	if st := e.active.Load(); st != nil && retry(1) {
-		out.Renormalized = true
-		out.Warm = ""
-		return attempt("renormalize", func() (flow.Routing, error) {
-			return renormalizeOverSurvivors(ls, st.Routing, d), nil
-		})
-	}
-	return nil, firstErr
-}
-
-// recovered runs one solve stage with a panic barrier: a panicking solver
-// callback (a buggy mcf.Options.Progress hook, a pathological numeric state)
-// becomes a stage error that falls through the normal retry chain instead of
-// unwinding the pool worker and killing the whole (possibly multi-tenant)
-// process. The panic is counted in solve_panics and journaled as a
-// solve_failure event with its stage, so the fleet operator sees it even
-// when a later retry stage rescues the epoch.
-func (e *Engine) recovered(stage string, epoch uint64, f func() (flow.Routing, error)) (r flow.Routing, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			e.metrics.solvePanics.Add(1)
-			e.record(obs.EventSolveFailure, map[string]any{
-				"epoch": epoch, "stage": stage, "panic": fmt.Sprint(p),
-			})
-			r, err = nil, fmt.Errorf("service: solver panic in %s: %v", stage, p)
-		}
 	}()
 	return f()
-}
-
-// maxRetryBackoff caps one backoff sleep regardless of the configured base
-// and stage.
-const maxRetryBackoff = 30 * time.Second
-
-// retryDelay computes the stage's share of the exponential backoff schedule:
-// base << stage, with the shift clamped (stage 16) and a hard ceiling, so a
-// large configured SolveRetries cannot shift the duration into overflow —
-// which would read as a negative (no-sleep) backoff — or an absurd wait.
-func retryDelay(base time.Duration, stage int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	if stage > 16 {
-		stage = 16
-	}
-	d := base << stage
-	if d <= 0 || d > maxRetryBackoff {
-		return maxRetryBackoff
-	}
-	return d
-}
-
-// backoff sleeps the stage's share of the backoff schedule, returning false
-// when ctx fires first.
-func (e *Engine) backoff(ctx context.Context, stage int) bool {
-	d := retryDelay(e.cfg.RetryBackoff, stage)
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // publish installs s as the active state unless a newer epoch already won

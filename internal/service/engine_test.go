@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand/v2"
 	"testing"
 	"time"
 
 	"sparseroute/internal/core"
 	"sparseroute/internal/demand"
+	"sparseroute/internal/flow"
 	"sparseroute/internal/graph"
 	"sparseroute/internal/graph/gen"
 	"sparseroute/internal/mcf"
@@ -220,11 +222,11 @@ func TestEngineRestoredSystemCoversSamePairs(t *testing.T) {
 }
 
 // slowSolveEngine builds an engine over a hand-made two-path system where the
-// solver path is demand-selectable: a demand on (0,3) sees two candidate
-// variables and (with ExactThreshold 1) is forced onto an MWU solve sized to
-// run for minutes, while a demand on (0,1) sees one variable and solves with
-// the instant exact LP. That lets one test submit a deliberately slow epoch
-// followed by a fast one on the same engine.
+// solve cost is demand-selectable: the adapt seam runs the real MWU loop with
+// a round budget sized to run for minutes on a demand touching (0,3), and
+// with the default budget otherwise — (0,1) has a single candidate and solves
+// at once. That lets one test submit a deliberately slow epoch followed by a
+// fast one on the same engine, with the deadline canceling the actual solver.
 func slowSolveEngine(t *testing.T, deadline time.Duration) *Engine {
 	t.Helper()
 	g := graph.New(4)
@@ -247,10 +249,17 @@ func slowSolveEngine(t *testing.T, deadline time.Duration) *Engine {
 		System:        ps,
 		Workers:       1,
 		SolveDeadline: deadline,
-		Adapt:         &core.AdaptOptions{ExactThreshold: 1, MWU: mcf.Options{Iterations: 1 << 30}},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *mcf.Options) (flow.Routing, error) {
+		if d.Get(0, 3) > 0 {
+			slow := *opt
+			slow.Iterations = 1 << 30
+			opt = &slow
+		}
+		return ps.AdaptMWUCtx(ctx, d, opt)
 	}
 	return e
 }
@@ -285,7 +294,7 @@ func TestEngineCanceledSolveFreesWorker(t *testing.T) {
 	}
 
 	// The worker must be free: the next epoch solves well within the
-	// deadline on the exact LP path.
+	// deadline.
 	fast := demand.New()
 	fast.Set(0, 1, 1)
 	epoch2, err := e.SubmitDemand(fast)
@@ -375,5 +384,35 @@ func TestEngineWaitUnknownEpoch(t *testing.T) {
 	}
 	if out, err := e.Wait(ctx, last); err != nil || !out.OK {
 		t.Fatalf("Wait(retained): %v %+v", err, out)
+	}
+}
+
+// TestEngineLargePermutationSolvesInDeadline: a serving epoch is one bounded
+// MWU solve. A full permutation on grid-8x8 (Räcke, R=4) has fewer than 600
+// candidate variables — small enough for core.AdaptCtx to hand it to the
+// dense simplex, which pivots for seconds on this degenerate LP — yet the
+// epoch must solve well inside a one-second deadline with a single adapt
+// attempt.
+func TestEngineLargePermutationSolvesInDeadline(t *testing.T) {
+	g := gen.Grid(8, 8)
+	r, err := oblivious.Build("raecke", g, &oblivious.BuildOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := testEngine(t, Config{Graph: g, Router: r, RouterName: "raecke", R: 4, Seed: 1, SolveDeadline: time.Second})
+	d := demand.FullPermutation(g.NumVertices(), rand.New(rand.NewPCG(1, 2)))
+	epoch, err := e.SubmitDemand(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := e.Wait(waitCtx(t), epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.OK {
+		t.Fatalf("outcome %+v, want solved inside the deadline", out)
+	}
+	if tr := lastTrace(t, e); len(tr.Attempts) != 1 || tr.Attempts[0].Stage != "adapt" || !tr.Attempts[0].OK {
+		t.Fatalf("attempts %+v, want one successful adapt", tr.Attempts)
 	}
 }

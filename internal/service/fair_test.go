@@ -9,6 +9,7 @@ import (
 	"sparseroute/internal/core"
 	"sparseroute/internal/demand"
 	"sparseroute/internal/flow"
+	"sparseroute/internal/mcf"
 	"sparseroute/internal/par"
 )
 
@@ -32,7 +33,7 @@ func TestEnginesShareFairPoolWithoutStarvation(t *testing.T) {
 	started := make(chan struct{})
 	var once sync.Once
 	record := func(tag string, wedge bool) adaptFunc {
-		return func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *core.AdaptOptions) (flow.Routing, error) {
+		return func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *mcf.Options) (flow.Routing, error) {
 			if wedge {
 				once.Do(func() { close(started) })
 				<-gate // wedge the single shared worker on A's first solve
@@ -40,7 +41,7 @@ func TestEnginesShareFairPoolWithoutStarvation(t *testing.T) {
 			mu.Lock()
 			order = append(order, tag)
 			mu.Unlock()
-			return ps.AdaptCtx(ctx, d, opt)
+			return ps.AdaptMWUCtx(ctx, d, opt)
 		}
 	}
 	ea.adapt = record("a", true)

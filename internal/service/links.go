@@ -718,7 +718,7 @@ func interimAnchor(prev *State, served *demand.Demand) (*demand.Demand, int) {
 // reRouteActive re-serves the active demand after a topology event: first an
 // immediate publish of the previous routing renormalized over surviving
 // paths (no solver in the loop, so traffic leaves dead edges right away),
-// then a full re-adaptation epoch enqueued through the normal retry chain.
+// then a full re-adaptation epoch enqueued through the normal solve chain.
 // Demand pairs the pruned system no longer covers are dropped from the
 // re-served demand (they are black-holed until recovery or restore — the
 // uncovered count in /healthz).

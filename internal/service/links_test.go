@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"sparseroute/internal/demand"
 	"sparseroute/internal/flow"
 	"sparseroute/internal/graph"
+	"sparseroute/internal/mcf"
 )
 
 // waitCtx returns a generous context for waiting on epochs.
@@ -54,6 +56,19 @@ func TestEngineFailRestoreLifecycle(t *testing.T) {
 	hashBefore := e.Hash()
 	installedBefore := e.InstalledSystem().TotalPaths()
 
+	// Hold the re-adapt epoch FailEdges queues inside the solver until the
+	// interim state has been checked: released early, it can publish first
+	// and replace the interim epoch before the test reads it.
+	release := make(chan struct{})
+	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *mcf.Options) (flow.Routing, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return ps.AdaptMWUCtx(ctx, d, opt)
+	}
+
 	// Fail one edge the active routing uses, so renormalization has real work.
 	st := e.Active()
 	failedID := st.Routing[demand.MakePair(0, 7)][0].Path.EdgeIDs[0]
@@ -80,6 +95,7 @@ func TestEngineFailRestoreLifecycle(t *testing.T) {
 		t.Fatalf("interim outcome: %v %+v", err, interim)
 	}
 	// The full re-adapt epoch follows through the solver.
+	close(release)
 	resolved, err := e.Wait(ctx, epoch+2)
 	if err != nil || !resolved.OK {
 		t.Fatalf("re-adapt outcome: %v %+v", err, resolved)
@@ -345,7 +361,7 @@ func TestEngineSnapshotWhileDegradedRestoresLinkState(t *testing.T) {
 }
 
 func TestEngineSolveRetryChain(t *testing.T) {
-	e := testEngine(t, Config{Seed: 7, RetryBackoff: time.Millisecond})
+	e := testEngine(t, Config{Seed: 7})
 	ctx := waitCtx(t)
 
 	// Prime an active routing for the renormalization stage.
@@ -359,9 +375,9 @@ func TestEngineSolveRetryChain(t *testing.T) {
 		t.Fatalf("prime solve: %v %+v", err, out)
 	}
 
-	// Every solver stage fails: the chain must fall through to the previous
-	// routing renormalized over (all-surviving) candidates.
-	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *core.AdaptOptions) (flow.Routing, error) {
+	// The solver fails: the chain must fall through to the previous routing
+	// renormalized over (all-surviving) candidates.
+	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *mcf.Options) (flow.Routing, error) {
 		return nil, fmt.Errorf("injected solver failure")
 	}
 	epoch, err = e.SubmitDemand(d)
@@ -375,11 +391,11 @@ func TestEngineSolveRetryChain(t *testing.T) {
 	if !out.OK || !out.Renormalized {
 		t.Fatalf("outcome %+v, want renormalized success", out)
 	}
-	if out.Retries != 2 {
-		t.Fatalf("retries=%d, want 2", out.Retries)
+	if out.Retries != 1 {
+		t.Fatalf("retries=%d, want 1", out.Retries)
 	}
-	if got := e.metrics.solveRetries.Value(); got != 2 {
-		t.Fatalf("solve_retries=%d, want 2", got)
+	if got := e.metrics.solveRetries.Value(); got != 1 {
+		t.Fatalf("solve_retries=%d, want 1", got)
 	}
 	// The renormalized epoch still carries the demand.
 	var total float64
@@ -390,31 +406,16 @@ func TestEngineSolveRetryChain(t *testing.T) {
 		t.Fatalf("renormalized routing carries %v, want 2", total)
 	}
 
-	// A failing stage 1 with a healthy stage 2 recovers on the first retry.
-	calls := 0
-	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *core.AdaptOptions) (flow.Routing, error) {
-		calls++
-		if calls == 1 {
-			return nil, fmt.Errorf("injected transient failure")
-		}
-		return ps.AdaptCtx(ctx, d, opt)
-	}
-	epoch, err = e.SubmitDemand(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err = e.Wait(ctx, epoch)
-	if err != nil || !out.OK || out.Renormalized {
-		t.Fatalf("outcome %+v, want MWU-stage success", out)
-	}
-	if out.Retries != 1 {
-		t.Fatalf("retries=%d, want 1", out.Retries)
-	}
 }
 
+// TestEngineSolveRetriesDisabled: a failed solve is never re-run. With no
+// published routing there is nothing to renormalize either, so the epoch
+// falls back at once with no retries and counts in epochs_failed.
 func TestEngineSolveRetriesDisabled(t *testing.T) {
-	e := testEngine(t, Config{Seed: 7, SolveRetries: -1})
-	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *core.AdaptOptions) (flow.Routing, error) {
+	e := testEngine(t, Config{Seed: 7})
+	var calls atomic.Int32
+	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *mcf.Options) (flow.Routing, error) {
+		calls.Add(1)
 		return nil, fmt.Errorf("injected solver failure")
 	}
 	d := demand.New()
@@ -430,8 +431,35 @@ func TestEngineSolveRetriesDisabled(t *testing.T) {
 	if !out.Fallback || out.Retries != 0 {
 		t.Fatalf("outcome %+v, want immediate fallback with no retries", out)
 	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("solver ran %d times, want 1", got)
+	}
 	if got := e.metrics.failed.Value(); got != 1 {
 		t.Fatalf("epochs_failed=%d, want 1", got)
+	}
+}
+
+// TestEngineCanceledSolveSkipsRenormalize: a solve stopped by its deadline
+// ends the chain — the epoch falls back to the published routing instead of
+// renormalizing it, and the trace shows the one canceled adapt attempt.
+func TestEngineCanceledSolveSkipsRenormalize(t *testing.T) {
+	e := testEngine(t, Config{Seed: 7, SolveDeadline: 5 * time.Second})
+	if out := solveOne(t, e, 0, 7, 2); !out.OK {
+		t.Fatalf("prime outcome %+v", out)
+	}
+	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *mcf.Options) (flow.Routing, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	// Shorten the deadline for the epoch under test only: the prime solve
+	// above ran under the generous one.
+	e.cfg.SolveDeadline = 10 * time.Millisecond
+	out := solveOne(t, e, 0, 7, 2)
+	if out.OK || !out.Fallback || out.Renormalized || out.Retries != 0 {
+		t.Fatalf("outcome %+v, want deadline fallback without renormalize", out)
+	}
+	if tr := lastTrace(t, e); len(tr.Attempts) != 1 || tr.Attempts[0].Stage != "adapt" {
+		t.Fatalf("attempts %+v, want the canceled adapt only", tr.Attempts)
 	}
 }
 
@@ -442,7 +470,7 @@ func TestEngineSolveRetriesDisabled(t *testing.T) {
 // fresh epoch, and every published routing stopped using an edge while that
 // edge was failed (checked on the quiesced final state).
 func TestEngineFaultInjectionUnderTraffic(t *testing.T) {
-	e := testEngine(t, Config{Seed: 9, Workers: 2, QueueDepth: 64, RetryBackoff: time.Millisecond})
+	e := testEngine(t, Config{Seed: 9, Workers: 2, QueueDepth: 64})
 	ctx := waitCtx(t)
 	m := e.cfg.Graph.NumEdges()
 

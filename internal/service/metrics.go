@@ -37,7 +37,7 @@ type Metrics struct {
 	proactiveResamples expvar.Int // events whose proactive pass widened at-risk pairs
 	proactivePaths     expvar.Int // total unique paths installed proactively
 	compactedPaths     expvar.Int // accumulated recovery paths dropped by compaction
-	solveRetries       expvar.Int // retry stages run beyond first solve attempts
+	solveRetries       expvar.Int // renormalize stages run after failed solves
 	renormalizedServes expvar.Int // interim renormalized publishes after link events
 	slowSolves         expvar.Int // epochs over Config.SlowSolveThreshold
 

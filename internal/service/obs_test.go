@@ -59,8 +59,8 @@ func TestEpochTraceRecorded(t *testing.T) {
 	if tr.Outcome != obs.OutcomeSolved {
 		t.Fatalf("trace outcome %q, want solved", tr.Outcome)
 	}
-	if tr.Solver != "exact" && tr.Solver != "mwu" {
-		t.Fatalf("trace solver %q, want exact or mwu", tr.Solver)
+	if tr.MWURounds != 256 {
+		t.Fatalf("trace mwu rounds %d, want the cold budget 256", tr.MWURounds)
 	}
 	if len(tr.Attempts) != 1 || tr.Attempts[0].Stage != "adapt" || !tr.Attempts[0].OK {
 		t.Fatalf("trace attempts %+v, want one successful adapt", tr.Attempts)
@@ -80,17 +80,16 @@ func TestEpochTraceRecorded(t *testing.T) {
 }
 
 func TestEpochTraceMWUProgress(t *testing.T) {
-	e := testEngine(t, Config{Seed: 2, Adapt: &core.AdaptOptions{
-		ExactThreshold: -1,
-		MWU:            mcf.Options{Iterations: 40, ProgressEvery: 8},
-	}})
+	e := testEngine(t, Config{Seed: 2})
+	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *mcf.Options) (flow.Routing, error) {
+		o := *opt // keeps the engine's progress hook
+		o.Iterations, o.ProgressEvery = 40, 8
+		return ps.AdaptMWUCtx(ctx, d, &o)
+	}
 	if out := solveOne(t, e, 0, 7, 1); !out.OK {
 		t.Fatalf("outcome %+v", out)
 	}
 	tr := lastTrace(t, e)
-	if tr.Solver != "mwu" {
-		t.Fatalf("solver %q, want mwu (exact disabled)", tr.Solver)
-	}
 	if tr.MWURounds != 40 {
 		t.Fatalf("mwu rounds %d, want 40", tr.MWURounds)
 	}
@@ -100,48 +99,51 @@ func TestEpochTraceMWUProgress(t *testing.T) {
 }
 
 func TestEpochTraceRetryChain(t *testing.T) {
-	e := testEngine(t, Config{Seed: 3, RetryBackoff: time.Millisecond})
+	e := testEngine(t, Config{Seed: 3})
 	// Prime a good routing so the renormalize stage has something to scale.
 	if out := solveOne(t, e, 0, 7, 1); !out.OK {
 		t.Fatalf("prime outcome %+v", out)
 	}
-	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *core.AdaptOptions) (flow.Routing, error) {
+	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *mcf.Options) (flow.Routing, error) {
 		return nil, fmt.Errorf("injected solver failure")
 	}
 	out := solveOne(t, e, 0, 7, 1)
-	if !out.OK || !out.Renormalized || out.Retries != 2 {
-		t.Fatalf("outcome %+v, want renormalized with 2 retries", out)
+	if !out.OK || !out.Renormalized || out.Retries != 1 {
+		t.Fatalf("outcome %+v, want renormalized with 1 retry", out)
 	}
 	tr := lastTrace(t, e)
 	stages := make([]string, len(tr.Attempts))
 	for i, a := range tr.Attempts {
 		stages[i] = a.Stage
 	}
-	want := []string{"adapt", "forced-mwu", "renormalize"}
-	if len(stages) != 3 || stages[0] != want[0] || stages[1] != want[1] || stages[2] != want[2] {
-		t.Fatalf("attempt stages %v, want %v", stages, want)
+	if len(stages) != 2 || stages[0] != "adapt" || stages[1] != "renormalize" {
+		t.Fatalf("attempt stages %v, want [adapt renormalize]", stages)
 	}
-	for _, a := range tr.Attempts[:2] {
-		if a.OK || !strings.Contains(a.Err, "injected solver failure") {
-			t.Fatalf("failed attempt %+v, want recorded error", a)
-		}
+	if a := tr.Attempts[0]; a.OK || !strings.Contains(a.Err, "injected solver failure") {
+		t.Fatalf("failed attempt %+v, want recorded error", a)
 	}
-	if !tr.Attempts[2].OK || tr.Attempts[2].Err != "" {
-		t.Fatalf("renormalize attempt %+v, want OK", tr.Attempts[2])
+	if !tr.Attempts[1].OK || tr.Attempts[1].Err != "" {
+		t.Fatalf("renormalize attempt %+v, want OK", tr.Attempts[1])
 	}
-	if tr.Retries != 2 || tr.Outcome != obs.OutcomeSolved {
-		t.Fatalf("trace %+v, want solved after 2 retries", tr)
+	if tr.Retries != 1 || tr.Outcome != obs.OutcomeSolved {
+		t.Fatalf("trace %+v, want solved after 1 retry", tr)
 	}
 }
 
+// TestSolveFailureJournaledAndTraced: a failed solve on an engine with no
+// published routing has nothing to renormalize, so it falls back at once —
+// no retries, counted in epochs_failed — and is journaled and traced.
 func TestSolveFailureJournaledAndTraced(t *testing.T) {
-	e := testEngine(t, Config{Seed: 4, SolveRetries: -1})
-	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *core.AdaptOptions) (flow.Routing, error) {
+	e := testEngine(t, Config{Seed: 4})
+	e.adapt = func(ctx context.Context, ps *core.PathSystem, d *demand.Demand, opt *mcf.Options) (flow.Routing, error) {
 		return nil, fmt.Errorf("injected solver failure")
 	}
 	out := solveOne(t, e, 0, 7, 1)
-	if out.OK || !out.Fallback {
-		t.Fatalf("outcome %+v, want fallback", out)
+	if out.OK || !out.Fallback || out.Retries != 0 {
+		t.Fatalf("outcome %+v, want immediate fallback with no retries", out)
+	}
+	if got := e.metrics.failed.Value(); got != 1 {
+		t.Fatalf("epochs_failed=%d, want 1", got)
 	}
 	tr := lastTrace(t, e)
 	if tr.Outcome != obs.OutcomeFallback {

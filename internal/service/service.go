@@ -70,14 +70,6 @@ type Config struct {
 	// engine keeps the last good routing, counting a fallback. 0 disables
 	// the deadline.
 	SolveDeadline time.Duration
-	// SolveRetries bounds the retry stages a failed (not canceled) solve may
-	// run after the first attempt: forced MWU, then the previous routing
-	// renormalized over surviving candidates. Default 2 (the full chain);
-	// negative disables retries entirely.
-	SolveRetries int
-	// RetryBackoff is the sleep before the first retry stage, doubling per
-	// stage; a canceled context cuts the wait short. Default 10ms.
-	RetryBackoff time.Duration
 	// FailedEdges starts the engine with the given edges already failed —
 	// set by Restore from a snapshot taken while degraded. No recovery
 	// resampling runs at startup: the installed system (which already
@@ -94,8 +86,6 @@ type Config struct {
 	// fully healthy pairs are always dropped entirely). Default 2*R;
 	// negative disables the cap.
 	RecoveryPathCap int
-	// Adapt tunes the rate-adaptation solvers.
-	Adapt *core.AdaptOptions
 	// OutcomeHistory bounds the retained epoch outcomes Wait can still
 	// resolve (older ones are evicted oldest-first). Default 128; raise it on
 	// long-running daemons whose clients wait on epochs submitted long ago.
@@ -225,12 +215,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LatencyWindow <= 0 {
 		c.LatencyWindow = 256
-	}
-	if c.SolveRetries == 0 {
-		c.SolveRetries = 2
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 10 * time.Millisecond
 	}
 	if c.RecoveryPathCap == 0 {
 		c.RecoveryPathCap = 2 * c.R

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"sparseroute/internal/core"
 	"sparseroute/internal/obs"
 )
 
@@ -13,8 +12,8 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 
 func msSince(t time.Time) float64 { return ms(time.Since(t)) }
 
-// solveMonitor collects solver-side signals for one epoch's trace: which
-// solver ran, the MWU round counter, and the last two congestion estimates
+// solveMonitor collects solver-side signals for one epoch's trace: the MWU
+// round counter and the last two congestion estimates
 // (whose relative change is the convergence gap). The MWU progress callback
 // fires from the solver loop, so updates go through a small mutex; the
 // in-flight view is mirrored into the tracer for /debug/trace.
@@ -23,17 +22,10 @@ type solveMonitor struct {
 	tracer *obs.Tracer
 
 	mu      sync.Mutex
-	solver  string
 	rounds  int
 	prev    float64
 	last    float64
 	samples int
-}
-
-func (m *solveMonitor) onSolver(solver string) {
-	m.mu.Lock()
-	m.solver = solver
-	m.mu.Unlock()
 }
 
 func (m *solveMonitor) onProgress(round int, congestion float64) {
@@ -49,7 +41,6 @@ func (m *solveMonitor) onProgress(round int, congestion float64) {
 func (m *solveMonitor) fill(tr *obs.EpochTrace) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	tr.Solver = m.solver
 	tr.MWURounds = m.rounds
 	if m.samples >= 2 && m.last > 0 {
 		gap := (m.last - m.prev) / m.last
@@ -58,19 +49,6 @@ func (m *solveMonitor) fill(tr *obs.EpochTrace) {
 		}
 		tr.ConvergenceGap = gap
 	}
-}
-
-// instrumented copies base (nil means defaults) and attaches the monitor's
-// observability callbacks. A copy is required: AdaptOptions may be shared
-// across concurrent solves, and the callbacks are per-epoch.
-func instrumented(base *core.AdaptOptions, mon *solveMonitor) *core.AdaptOptions {
-	var o core.AdaptOptions
-	if base != nil {
-		o = *base
-	}
-	o.OnSolver = mon.onSolver
-	o.MWU.Progress = mon.onProgress
-	return &o
 }
 
 // Tracer returns the engine's epoch-trace ring.

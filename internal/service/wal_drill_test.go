@@ -528,66 +528,84 @@ func countRecords(t *testing.T, path string, log *wal.Log) int {
 }
 
 // TestSolverPanicDoesNotKillEngine: a panic inside a solve stage must be
-// converted to a stage error (counted, journaled) and fall through the retry
-// chain; the engine keeps serving afterwards. The panic is induced by
-// publishing a link state whose solver-facing path system is nil — every
-// adapt stage then dereferences it and panics exactly where a buggy solver
-// callback would.
+// converted to a stage error (counted, journaled with its stage) and fall
+// through the solve chain; the engine keeps serving afterwards. The panic is
+// induced by publishing a link state whose solver-facing path system is nil
+// — every solve stage then dereferences it and panics exactly where a buggy
+// solver callback would. The delta case PATCHes with warm starts on, so the
+// incremental stage panics first.
 func TestSolverPanicDoesNotKillEngine(t *testing.T) {
-	e := testEngine(t, Config{Seed: 17, DisableWarmStart: true})
-	d := demand.New()
-	d.Set(0, 7, 2)
-	epoch, err := e.SubmitDemand(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if out, err := e.Wait(ctx, epoch); err != nil || !out.OK {
-		t.Fatalf("baseline epoch: out=%+v err=%v", out, err)
-	}
-
-	good := e.links.Load()
-	bad := *good
-	bad.adaptive = nil
-	e.links.Store(&bad)
-
-	epoch, err = e.SubmitDemand(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := e.Wait(ctx, epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The epoch must complete — rescued by the solver-free renormalize
-	// stage or served as a fallback — never by crashing the worker.
-	if !out.OK && !out.Fallback {
-		t.Fatalf("panicked epoch neither completed nor fell back: %+v", out)
-	}
-	if v := e.metrics.solvePanics.Value(); v < 1 {
-		t.Fatalf("solve_panics=%d, want >= 1", v)
-	}
-	found := false
-	for _, ev := range e.Events() {
-		if ev.Type == obs.EventSolveFailure {
-			if _, ok := ev.Detail["panic"]; ok {
-				found = true
+	for _, tc := range []struct {
+		stage string
+		cfg   Config
+		next  func(e *Engine) (uint64, error)
+	}{
+		{"adapt", Config{Seed: 17, DisableWarmStart: true}, func(e *Engine) (uint64, error) {
+			d := demand.New()
+			d.Set(0, 7, 2)
+			return e.SubmitDemand(d)
+		}},
+		{"delta", Config{Seed: 17}, func(e *Engine) (uint64, error) {
+			return e.PatchDemand([]PairAmount{{U: 0, V: 7, Amount: 2.02}}, nil)
+		}},
+	} {
+		t.Run(tc.stage, func(t *testing.T) {
+			e := testEngine(t, tc.cfg)
+			d := demand.New()
+			d.Set(0, 7, 2)
+			epoch, err := e.SubmitDemand(d)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if !found {
-		t.Fatal("no solve_failure event carrying the panic")
-	}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if out, err := e.Wait(ctx, epoch); err != nil || !out.OK {
+				t.Fatalf("baseline epoch: out=%+v err=%v", out, err)
+			}
 
-	// Heal the link state: the engine serves normally again.
-	e.links.Store(good)
-	epoch, err = e.SubmitDemand(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out, err := e.Wait(ctx, epoch); err != nil || !out.OK {
-		t.Fatalf("post-panic epoch: out=%+v err=%v", out, err)
+			good := e.links.Load()
+			bad := *good
+			bad.adaptive = nil
+			e.links.Store(&bad)
+
+			epoch, err = tc.next(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := e.Wait(ctx, epoch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The epoch must complete — rescued by the solver-free renormalize
+			// stage or served as a fallback — never by crashing the worker.
+			if !out.OK && !out.Fallback {
+				t.Fatalf("panicked epoch neither completed nor fell back: %+v", out)
+			}
+			if v := e.metrics.solvePanics.Value(); v < 1 {
+				t.Fatalf("solve_panics=%d, want >= 1", v)
+			}
+			found := false
+			for _, ev := range e.Events() {
+				if ev.Type == obs.EventSolveFailure && ev.Detail["stage"] == tc.stage {
+					if _, ok := ev.Detail["panic"]; ok {
+						found = true
+					}
+				}
+			}
+			if !found {
+				t.Fatalf("no solve_failure event with stage %q carrying the panic", tc.stage)
+			}
+
+			// Heal the link state: the engine serves normally again.
+			e.links.Store(good)
+			epoch, err = e.SubmitDemand(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out, err := e.Wait(ctx, epoch); err != nil || !out.OK {
+				t.Fatalf("post-panic epoch: out=%+v err=%v", out, err)
+			}
+		})
 	}
 }
 

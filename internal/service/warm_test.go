@@ -8,16 +8,13 @@ import (
 	"sync"
 	"testing"
 
-	"sparseroute/internal/core"
 	"sparseroute/internal/demand"
 	"sparseroute/internal/graph/gen"
 	"sparseroute/internal/oblivious"
 	"sparseroute/internal/obs"
 )
 
-// warmPair builds a warm engine and its warm-disabled twin on a 4x4 grid,
-// both forcing the MWU solver so the warm seam actually engages (the exact
-// LP would absorb every solve at this size).
+// warmPair builds a warm engine and its warm-disabled twin on a 4x4 grid.
 func warmPair(t *testing.T) (*Engine, *Engine) {
 	t.Helper()
 	g := gen.Grid(4, 4)
@@ -28,7 +25,6 @@ func warmPair(t *testing.T) (*Engine, *Engine) {
 	base := Config{
 		Graph: g, Router: router, RouterName: "raecke",
 		R: 3, Seed: 1, Workers: 1, QueueDepth: 64,
-		Adapt: &core.AdaptOptions{ExactThreshold: -1},
 	}
 	warm, err := New(base)
 	if err != nil {
@@ -133,7 +129,6 @@ func TestEngineWarmTagsAndStreak(t *testing.T) {
 	}
 	e, err := New(Config{
 		Graph: g, Router: router, R: 3, Seed: 1, Workers: 1, QueueDepth: 64,
-		Adapt:         &core.AdaptOptions{ExactThreshold: -1},
 		WarmMaxStreak: 3,
 	})
 	if err != nil {
@@ -286,7 +281,6 @@ func TestEngineDeltaChurn(t *testing.T) {
 	}
 	e, err := New(Config{
 		Graph: g, Router: router, R: 3, Seed: 1, Workers: 2, QueueDepth: 256,
-		Adapt: &core.AdaptOptions{ExactThreshold: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
