@@ -7,9 +7,14 @@
 package serial
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
 
 	"sparseroute/internal/core"
 	"sparseroute/internal/demand"
@@ -199,12 +204,7 @@ type WeightedPathJSON struct {
 // order.
 func RoutingToJSON(g *graph.Graph, r flow.Routing) RoutingJSON {
 	var out RoutingJSON
-	// Deterministic order via a temporary demand built from the routing.
-	d := demand.New()
-	for pr := range r {
-		d.Set(pr.U, pr.V, 1)
-	}
-	for _, pr := range d.Support() {
+	for _, pr := range sortedPairs(r) {
 		pf := PairFlowsJSON{U: pr.U, V: pr.V}
 		for _, wp := range r[pr] {
 			ids := wp.Path.EdgeIDs
@@ -221,11 +221,157 @@ func RoutingToJSON(g *graph.Graph, r flow.Routing) RoutingJSON {
 	return out
 }
 
-// EncodeRouting writes a routing as JSON.
+// sortedPairs returns r's pairs in (U, V) order, the wire order of a routing.
+func sortedPairs(r flow.Routing) []demand.Pair {
+	pairs := make([]demand.Pair, 0, len(r))
+	for pr := range r {
+		pairs = append(pairs, pr)
+	}
+	slices.SortFunc(pairs, func(a, b demand.Pair) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.V, b.V)
+	})
+	return pairs
+}
+
+// EncodeRouting writes a routing as JSON: the bytes encoding/json writes for
+// RoutingToJSON under a one-space indent, from AppendRouting.
 func EncodeRouting(w io.Writer, g *graph.Graph, r flow.Routing) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(RoutingToJSON(g, r))
+	b, err := AppendRouting(nil, r, 0)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
+}
+
+// AppendRouting appends the wire form of r to dst without reflection. The
+// bytes are exactly those json.Encoder with SetIndent("", " ") writes for
+// RoutingToJSON(r) nested depth levels deep (0 for a whole document), less
+// the trailing newline: pairs in (U, V) order, each path oriented from its
+// pair's U, null for a routing or pair without paths, [] for an empty edge
+// list. A NaN or infinite weight is an error, as it is for encoding/json,
+// and dst comes back unextended.
+func AppendRouting(dst []byte, r flow.Routing, depth int) ([]byte, error) {
+	start := len(dst)
+	dst = slices.Grow(dst, routingSize(r, depth))
+	// ind[:1+depth+k] breaks the line and indents it to level depth+k.
+	ind := "\n" + strings.Repeat(" ", depth+6)
+	at := func(k int) string { return ind[:1+depth+k] }
+	dst = append(dst, '{')
+	dst = append(dst, at(1)...)
+	dst = append(dst, `"pairs": `...)
+	pairs := sortedPairs(r)
+	if len(pairs) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+	}
+	for i, pr := range pairs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, at(2)...)
+		dst = append(dst, '{')
+		dst = append(dst, at(3)...)
+		dst = append(dst, `"u": `...)
+		dst = strconv.AppendInt(dst, int64(pr.U), 10)
+		dst = append(dst, ',')
+		dst = append(dst, at(3)...)
+		dst = append(dst, `"v": `...)
+		dst = strconv.AppendInt(dst, int64(pr.V), 10)
+		dst = append(dst, ',')
+		dst = append(dst, at(3)...)
+		dst = append(dst, `"paths": `...)
+		wps := r[pr]
+		if len(wps) == 0 {
+			dst = append(dst, "null"...)
+		} else {
+			dst = append(dst, '[')
+		}
+		for j, wp := range wps {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, at(4)...)
+			dst = append(dst, '{')
+			dst = append(dst, at(5)...)
+			dst = append(dst, `"edges": [`...)
+			ids, rev := wp.Path.EdgeIDs, wp.Path.Src != pr.U
+			for k := range ids {
+				if k > 0 {
+					dst = append(dst, ',')
+				}
+				id := ids[k]
+				if rev {
+					id = ids[len(ids)-1-k]
+				}
+				dst = append(dst, at(6)...)
+				dst = strconv.AppendInt(dst, int64(id), 10)
+			}
+			if len(ids) > 0 {
+				dst = append(dst, at(5)...)
+			}
+			dst = append(dst, "],"...)
+			dst = append(dst, at(5)...)
+			dst = append(dst, `"weight": `...)
+			var err error
+			if dst, err = AppendFloat(dst, wp.Weight); err != nil {
+				return dst[:start], fmt.Errorf("serial: pair (%d,%d) path %d weight: %w", pr.U, pr.V, j, err)
+			}
+			dst = append(dst, at(4)...)
+			dst = append(dst, '}')
+		}
+		if len(wps) > 0 {
+			dst = append(dst, at(3)...)
+			dst = append(dst, ']')
+		}
+		dst = append(dst, at(2)...)
+		dst = append(dst, '}')
+	}
+	if len(pairs) > 0 {
+		dst = append(dst, at(1)...)
+		dst = append(dst, ']')
+	}
+	dst = append(dst, at(0)...)
+	return append(dst, '}'), nil
+}
+
+// routingSize bounds from above the bytes AppendRouting writes for r at
+// depth while every vertex and edge ID has at most 7 digits, so one
+// allocation holds the encoding.
+func routingSize(r flow.Routing, depth int) int {
+	n := 3*depth + 20
+	for _, wps := range r {
+		n += 6*depth + 64
+		for _, wp := range wps {
+			n += 5*depth + 80 + len(wp.Path.EdgeIDs)*(depth+15)
+		}
+	}
+	return n
+}
+
+// AppendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that reads back as f, in exponent form below 1e-6 and from 1e21
+// up, with a one-digit negative exponent written as e-7, not e-07. NaN and
+// ±Inf have no JSON form: they are the *json.UnsupportedValueError
+// encoding/json returns, and dst comes back unextended.
+func AppendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
 }
 
 // DecodeRouting reads a routing over g from JSON, validating every path.

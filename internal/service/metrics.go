@@ -40,6 +40,7 @@ type Metrics struct {
 	solveRetries       expvar.Int // renormalize stages run after failed solves
 	renormalizedServes expvar.Int // interim renormalized publishes after link events
 	slowSolves         expvar.Int // epochs over Config.SlowSolveThreshold
+	routingEncodes     expvar.Int // GET /v1/routing bodies encoded (once per state read)
 
 	patches     expvar.Int // accepted PATCH /v1/demand delta submissions
 	deltaEpochs expvar.Int // epochs solved by the incremental delta fast path
@@ -93,6 +94,7 @@ func newMetrics(e *Engine) *Metrics {
 	m.vars.Set("solve_retries", &m.solveRetries)
 	m.vars.Set("renormalized_serves", &m.renormalizedServes)
 	m.vars.Set("slow_solves", &m.slowSolves)
+	m.vars.Set("routing_encodes", &m.routingEncodes)
 	m.vars.Set("demand_patches", &m.patches)
 	m.vars.Set("delta_epochs", &m.deltaEpochs)
 	m.vars.Set("warm_solves", &m.warmSolves)
